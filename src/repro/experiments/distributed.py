@@ -1,10 +1,10 @@
 """Distributed experiment sharding: a coordinator/worker subsystem over TCP.
 
 One registered :class:`~repro.experiments.registry.Experiment` is sharded
-across worker *processes* (same host or not) that speak length-prefixed JSON
-frames over TCP — the same framing discipline as the asyncio overlay backend
-(:mod:`repro.overlay.aio`), whose :func:`~repro.overlay.aio.encode_frame` /
-:func:`~repro.overlay.aio.read_frame` primitives this module reuses.
+across worker *processes* (same host or not) that speak JSON messages over
+TCP, one per frame of :mod:`repro.net.frames` — the frame layer the asyncio
+overlay backend speaks too — through the :mod:`repro.net.channel` adapters
+(asyncio on the coordinator, a blocking socket on the worker).
 
 Roles
 -----
@@ -34,8 +34,8 @@ exactly that.
 
 Wire protocol (version 1)
 -------------------------
-Every frame is a 4-byte big-endian length followed by a canonical-JSON
-object (sorted keys, compact separators) with a ``"type"`` field:
+Every frame carries one compact-JSON object (compact separators, key order
+preserved — see :func:`message_payload`) with a ``"type"`` field:
 
 ==============  =========  ====================================================
 type            direction  payload
@@ -54,10 +54,10 @@ type            direction  payload
 After ``hello``/``job``, the conversation is strict request–response: the
 worker sends ``request`` or ``result`` and the coordinator answers each with
 exactly one of ``lease`` / ``wait`` / ``done``.  Truncated and oversized
-frames are rejected exactly as on the overlay wire (property-tested in
-``tests/test_dist_protocol.py``); results are recorded *per trial index* and
-only the first result for an index counts, which makes duplicate and stale
-(post-re-dispatch) deliveries idempotent.
+frames are rejected by the frame layer, as on the overlay wire
+(property-tested in ``tests/test_wire_format.py``); results are recorded
+*per trial index* and only the first result for an index counts, which
+makes duplicate and stale (post-re-dispatch) deliveries idempotent.
 """
 
 from __future__ import annotations
@@ -83,13 +83,7 @@ from ..core.errors import (
     SecureTransportError,
 )
 from ..net import TransportCredential, write_keypair
-from ..net.channel import (
-    AioFrameChannel,
-    SyncFrameChannel,
-    accept_secure_aio,
-    connect_secure_sync,
-)
-from ..overlay.aio import FRAME_HEADER, MAX_FRAME_BYTES, encode_frame
+from ..net.channel import accept_aio, connect_sync
 from .registry import Experiment, get_experiment
 from .runner import (
     _jsonify,
@@ -129,26 +123,16 @@ TRANSPORTS = ("plain", "secure")
 # -- message layer ------------------------------------------------------------------
 
 
-def encode_message(message: dict) -> bytes:
-    """Frame one protocol message as compact JSON.
+def message_payload(message: dict) -> bytes:
+    """Serialise one protocol message to its unframed compact-JSON payload.
 
     Key order is *preserved*, not sorted: result rows travel inside these
     frames and the artifact serialisation keeps row insertion order, so the
     envelope must not re-order what it carries.  Raises
-    :class:`~repro.core.errors.PacketFormatError` for non-dict messages,
-    messages without a ``"type"``, or encodings that exceed
-    :data:`~repro.overlay.aio.MAX_FRAME_BYTES` — the same limit as the
-    overlay wire.
-    """
-    return encode_frame(message_payload(message))
-
-
-def message_payload(message: dict) -> bytes:
-    """Serialise one protocol message to its unframed JSON payload bytes.
-
-    The frame channels (:mod:`repro.net.channel`) add their own plain or
-    encrypted framing around this payload; :func:`encode_message` is the
-    plain-wire composition kept for the protocol tests.
+    :class:`~repro.core.errors.PacketFormatError` for non-dict messages and
+    messages without a ``"type"``; the frame channels
+    (:mod:`repro.net.channel`) add the plain or encrypted framing, and with
+    it the :data:`~repro.net.frames.MAX_FRAME_BYTES` limit.
     """
     if not isinstance(message, dict) or not isinstance(message.get("type"), str):
         raise PacketFormatError("protocol messages are dicts with a string 'type'")
@@ -403,7 +387,8 @@ class Coordinator:
                 "(static keypair + authorized worker keys)"
             )
         self.transport = transport
-        self.credential = credential
+        #: Static identity for the secure handshake; ``None`` speaks plain frames.
+        self.credential = credential if transport == "secure" else None
         self.worker_extra_args = list(worker_extra_args or [])
         self.experiment = experiment
         self.trials = trials
@@ -529,23 +514,15 @@ class Coordinator:
             task.add_done_callback(self._handler_tasks.discard)
         self._handler_writers.add(writer)
         try:
-            if self.transport == "secure":
-                # The handshake (and the allowlist check inside accept) runs
-                # to completion before any protocol frame is read: an
-                # unauthorized or tampering peer is rejected here, with no
-                # job state touched.
-                try:
-                    channel = await accept_secure_aio(
-                        reader,
-                        writer,
-                        self.credential.keypair,
-                        self.credential.authorized,
-                    )
-                except HandshakeError as exc:
-                    self.log(f"coordinator: rejected connection: {exc}")
-                    return
-            else:
-                channel = AioFrameChannel(reader, writer)
+            # A secure handshake (and the allowlist check inside accept)
+            # runs to completion before any protocol frame is read: an
+            # unauthorized or tampering peer is rejected here, with no job
+            # state touched.
+            try:
+                channel = await accept_aio(reader, writer, self.credential)
+            except HandshakeError as exc:
+                self.log(f"coordinator: rejected connection: {exc}")
+                return
             hello = await channel.recv_frame()
             if hello is None:
                 return
@@ -828,34 +805,6 @@ def run_distributed(
 # -- worker -------------------------------------------------------------------------
 
 
-def _recv_message(sock: socket.socket) -> dict | None:
-    """Blocking read of one protocol message; None on clean EOF at a boundary."""
-    header = _recv_exact(sock, FRAME_HEADER.size, eof_ok=True)
-    if header is None:
-        return None
-    (length,) = FRAME_HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise PacketFormatError(
-            f"frame declares {length} bytes, over the {MAX_FRAME_BYTES}-byte limit"
-        )
-    payload = _recv_exact(sock, length, eof_ok=False)
-    return decode_message(payload)
-
-
-def _recv_exact(sock: socket.socket, count: int, eof_ok: bool) -> bytes | None:
-    chunks: list[bytes] = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if eof_ok and remaining == count:
-                return None
-            raise PacketFormatError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
 def _connect_with_retry(host: str, port: int, connect_timeout: float) -> socket.socket:
     """Dial the coordinator, retrying while it is still binding its port."""
     deadline = time.monotonic() + connect_timeout
@@ -914,20 +863,14 @@ def run_worker(
         return 1
     try:
         sock.settimeout(io_timeout)
-        if transport == "secure":
-            try:
-                channel = connect_secure_sync(
-                    sock, credential.keypair, credential.remote_public
-                )
-            except HandshakeError as exc:
-                print(
-                    f"worker error: secure handshake with {host}:{port} "
-                    f"failed ({exc})",
-                    file=sys.stderr,
-                )
-                return 1
-        else:
-            channel = SyncFrameChannel(sock)
+        try:
+            channel = connect_sync(sock, credential if transport == "secure" else None)
+        except HandshakeError as exc:
+            print(
+                f"worker error: secure handshake with {host}:{port} failed ({exc})",
+                file=sys.stderr,
+            )
+            return 1
 
         def send(message: dict) -> None:
             channel.send_frame(message_payload(message))

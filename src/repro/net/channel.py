@@ -1,105 +1,47 @@
-"""Sync-socket and asyncio adapters mounting the secure transport.
+"""Sync-socket and asyncio frame channels, plain or secure.
 
-Both TCP substrates speak 4-byte length-prefixed frames.  This module gives
-each of them a *channel* object with the same two-method surface —
-``send_frame(payload)`` / ``recv_frame() -> bytes | None`` — in plain and
-secure flavours, plus the handshake drivers that run the three acts over a
-blocking socket (workers) or an asyncio stream pair (the coordinator, the
-aio overlay).  Above a channel the substrates are transport-agnostic, which
-is what keeps merged artifacts byte-identical across ``plain`` and
-``secure`` runs.
+A *channel* bundles a connection with the :mod:`repro.net.frames` session
+it speaks and gives both TCP substrates the same two-method surface:
+``send_frame(payload)`` / ``recv_frame() -> bytes | None``.  There is one
+channel class per I/O style; plain and secure differ only in the session
+they hold.  Above a channel the substrates are transport-agnostic, which is
+what keeps merged artifacts byte-identical across ``plain`` and ``secure``
+runs.
 
-The responder-side accept functions check the initiator's authenticated
-static key against the allowlist and raise
-:class:`~repro.core.errors.HandshakeError` *before* returning a channel, so
-an unauthorized peer never gets a single application frame processed.
+The ``connect_*`` / ``accept_*`` functions open a channel on a connected
+socket or stream pair.  Without a credential they return a plain channel at
+once; with one they run the three handshake acts first.  The responder-side
+accept functions check the initiator's authenticated static key against the
+allowlist and raise :class:`~repro.core.errors.HandshakeError` *before*
+returning a channel, so an unauthorized peer never gets a single
+application frame processed.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import socket
-import struct
-from typing import Callable
 
-from ..core.errors import HandshakeError, PacketFormatError
-from .secure import (
-    ACT_ONE_SIZE,
-    ACT_THREE_SIZE,
-    ACT_TWO_SIZE,
-    LENGTH_CIPHERTEXT_SIZE,
-    MAX_FRAME_BYTES,
-    HandshakeState,
-    SecureSession,
-    StaticKeyPair,
-)
-
-_FRAME_HEADER = struct.Struct(">I")
+from ..core.errors import HandshakeError
+from .frames import PLAIN, read_frame, read_frame_blocking, recv_exactly
+from .keyfiles import TransportCredential
+from .secure import ACT_ONE_SIZE, ACT_THREE_SIZE, ACT_TWO_SIZE, HandshakeState
 
 
-# -- sync-socket primitives ---------------------------------------------------------
+def _check_authorized(credential: TransportCredential, remote: bytes) -> None:
+    if not credential.is_authorized(remote):
+        raise HandshakeError(
+            f"unauthorized static key {remote.hex()[:16]}… rejected by allowlist"
+        )
 
 
-def _recv_exactly(sock: socket.socket, size: int) -> bytes | None:
-    """Read exactly ``size`` bytes; ``None`` on clean EOF before the first."""
-    chunks: list[bytes] = []
-    remaining = size
-    while remaining:
-        chunk = sock.recv(min(remaining, 65536))
-        if not chunk:
-            if not chunks:
-                return None
-            raise PacketFormatError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def _recv_handshake(sock: socket.socket, size: int, act: str) -> bytes:
-    data = _recv_exactly(sock, size)
-    if data is None:
-        raise HandshakeError(f"connection closed before {act}")
-    return data
+# -- blocking sockets ---------------------------------------------------------------
 
 
 class SyncFrameChannel:
-    """Plain length-prefixed frames over a blocking socket."""
+    """Frames over a blocking socket, through a plain or secure session."""
 
-    transport = "plain"
-
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-
-    def send_frame(self, payload: bytes) -> None:
-        if len(payload) > MAX_FRAME_BYTES:
-            raise PacketFormatError(
-                f"frame payload of {len(payload)} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte limit"
-            )
-        self.sock.sendall(_FRAME_HEADER.pack(len(payload)) + payload)
-
-    def recv_frame(self) -> bytes | None:
-        header = _recv_exactly(self.sock, _FRAME_HEADER.size)
-        if header is None:
-            return None
-        (length,) = _FRAME_HEADER.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise PacketFormatError(
-                f"frame declares {length} bytes, over the {MAX_FRAME_BYTES}-byte limit"
-            )
-        payload = _recv_exactly(self.sock, length)
-        if payload is None or len(payload) != length:
-            raise PacketFormatError("truncated frame payload")
-        return payload
-
-
-class SecureSyncFrameChannel:
-    """AEAD-protected frames over a blocking socket (established session)."""
-
-    transport = "secure"
-
-    def __init__(self, sock: socket.socket, session: SecureSession) -> None:
+    def __init__(self, sock: socket.socket, session=PLAIN) -> None:
         self.sock = sock
         self.session = session
 
@@ -107,108 +49,53 @@ class SecureSyncFrameChannel:
         self.sock.sendall(self.session.encrypt_frame(payload))
 
     def recv_frame(self) -> bytes | None:
-        header = _recv_exactly(self.sock, LENGTH_CIPHERTEXT_SIZE)
-        if header is None:
-            return None
-        body_size = self.session.decrypt_length(header)
-        body = _recv_exactly(self.sock, body_size)
-        if body is None or len(body) != body_size:
-            raise PacketFormatError("truncated encrypted frame body")
-        return self.session.decrypt_body(body)
+        return read_frame_blocking(self.sock, self.session)
 
 
-def connect_secure_sync(
-    sock: socket.socket,
-    keypair: StaticKeyPair,
-    remote_public: bytes,
-    entropy: Callable[[int], bytes] = os.urandom,
-) -> SecureSyncFrameChannel:
-    """Run the initiator side of the handshake over a connected socket."""
-    handshake = HandshakeState.initiator(keypair, remote_public, entropy=entropy)
+def _recv_handshake(sock: socket.socket, size: int, act: str) -> bytes:
+    data = recv_exactly(sock, size)
+    if data is None:
+        raise HandshakeError(f"connection closed before {act}")
+    return data
+
+
+def connect_sync(
+    sock: socket.socket, credential: TransportCredential | None
+) -> SyncFrameChannel:
+    """Open the initiator side over a connected socket."""
+    if credential is None:
+        return SyncFrameChannel(sock)
+    handshake = HandshakeState.initiator(credential.keypair, credential.remote_public)
     sock.sendall(handshake.write_act_one())
     handshake.read_act_two(_recv_handshake(sock, ACT_TWO_SIZE, "act two"))
     sock.sendall(handshake.write_act_three())
-    return SecureSyncFrameChannel(sock, handshake.session())
+    return SyncFrameChannel(sock, handshake.session())
 
 
-def accept_secure_sync(
-    sock: socket.socket,
-    keypair: StaticKeyPair,
-    authorized: frozenset[bytes],
-    entropy: Callable[[int], bytes] = os.urandom,
-) -> SecureSyncFrameChannel:
-    """Run the responder side over a connected socket; enforce the allowlist."""
-    handshake = HandshakeState.responder(keypair, entropy=entropy)
+def accept_sync(
+    sock: socket.socket, credential: TransportCredential | None
+) -> SyncFrameChannel:
+    """Open the responder side over a connected socket; enforce the allowlist."""
+    if credential is None:
+        return SyncFrameChannel(sock)
+    handshake = HandshakeState.responder(credential.keypair)
     handshake.read_act_one(_recv_handshake(sock, ACT_ONE_SIZE, "act one"))
     sock.sendall(handshake.write_act_two())
     remote = handshake.read_act_three(
         _recv_handshake(sock, ACT_THREE_SIZE, "act three")
     )
-    if remote not in authorized:
-        raise HandshakeError(
-            f"unauthorized static key {remote.hex()[:16]}… rejected by allowlist"
-        )
-    return SecureSyncFrameChannel(sock, handshake.session())
+    _check_authorized(credential, remote)
+    return SyncFrameChannel(sock, handshake.session())
 
 
-# -- asyncio adapters ---------------------------------------------------------------
-
-
-async def _read_handshake(reader: asyncio.StreamReader, size: int, act: str) -> bytes:
-    try:
-        return await reader.readexactly(size)
-    except asyncio.IncompleteReadError:
-        raise HandshakeError(f"connection closed before {act}") from None
+# -- asyncio streams ----------------------------------------------------------------
 
 
 class AioFrameChannel:
-    """Plain length-prefixed frames over an asyncio stream pair."""
-
-    transport = "plain"
+    """Frames over an asyncio stream pair, through a plain or secure session."""
 
     def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.reader = reader
-        self.writer = writer
-
-    async def send_frame(self, payload: bytes) -> None:
-        if len(payload) > MAX_FRAME_BYTES:
-            raise PacketFormatError(
-                f"frame payload of {len(payload)} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte limit"
-            )
-        self.writer.write(_FRAME_HEADER.pack(len(payload)) + payload)
-        await self.writer.drain()
-
-    async def recv_frame(self) -> bytes | None:
-        try:
-            header = await self.reader.readexactly(_FRAME_HEADER.size)
-        except asyncio.IncompleteReadError as exc:
-            if exc.partial:
-                raise PacketFormatError("truncated frame header") from None
-            return None
-        (length,) = _FRAME_HEADER.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise PacketFormatError(
-                f"frame declares {length} bytes, over the {MAX_FRAME_BYTES}-byte limit"
-            )
-        try:
-            return await self.reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            raise PacketFormatError("truncated frame payload") from None
-
-
-class SecureAioFrameChannel:
-    """AEAD-protected frames over an asyncio stream pair."""
-
-    transport = "secure"
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        session: SecureSession,
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, session=PLAIN
     ) -> None:
         self.reader = reader
         self.writer = writer
@@ -222,54 +109,47 @@ class SecureAioFrameChannel:
         await self.writer.drain()
 
     async def recv_frame(self) -> bytes | None:
-        try:
-            header = await self.reader.readexactly(LENGTH_CIPHERTEXT_SIZE)
-        except asyncio.IncompleteReadError as exc:
-            if exc.partial:
-                raise PacketFormatError("truncated encrypted length prefix") from None
-            return None
-        body_size = self.session.decrypt_length(header)
-        try:
-            body = await self.reader.readexactly(body_size)
-        except asyncio.IncompleteReadError:
-            raise PacketFormatError("truncated encrypted frame body") from None
-        return self.session.decrypt_body(body)
+        return await read_frame(self.reader, self.session)
 
 
-async def connect_secure_aio(
+async def _read_handshake(reader: asyncio.StreamReader, size: int, act: str) -> bytes:
+    try:
+        return await reader.readexactly(size)
+    except asyncio.IncompleteReadError:
+        raise HandshakeError(f"connection closed before {act}") from None
+
+
+async def connect_aio(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
-    keypair: StaticKeyPair,
-    remote_public: bytes,
-    entropy: Callable[[int], bytes] = os.urandom,
-) -> SecureAioFrameChannel:
-    """Run the initiator side of the handshake over an asyncio stream pair."""
-    handshake = HandshakeState.initiator(keypair, remote_public, entropy=entropy)
+    credential: TransportCredential | None,
+) -> AioFrameChannel:
+    """Open the initiator side over an asyncio stream pair."""
+    if credential is None:
+        return AioFrameChannel(reader, writer)
+    handshake = HandshakeState.initiator(credential.keypair, credential.remote_public)
     writer.write(handshake.write_act_one())
     await writer.drain()
     handshake.read_act_two(await _read_handshake(reader, ACT_TWO_SIZE, "act two"))
     writer.write(handshake.write_act_three())
     await writer.drain()
-    return SecureAioFrameChannel(reader, writer, handshake.session())
+    return AioFrameChannel(reader, writer, handshake.session())
 
 
-async def accept_secure_aio(
+async def accept_aio(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
-    keypair: StaticKeyPair,
-    authorized: frozenset[bytes],
-    entropy: Callable[[int], bytes] = os.urandom,
-) -> SecureAioFrameChannel:
-    """Run the responder side over an asyncio stream pair; enforce the allowlist."""
-    handshake = HandshakeState.responder(keypair, entropy=entropy)
+    credential: TransportCredential | None,
+) -> AioFrameChannel:
+    """Open the responder side over an asyncio stream pair; enforce the allowlist."""
+    if credential is None:
+        return AioFrameChannel(reader, writer)
+    handshake = HandshakeState.responder(credential.keypair)
     handshake.read_act_one(await _read_handshake(reader, ACT_ONE_SIZE, "act one"))
     writer.write(handshake.write_act_two())
     await writer.drain()
     remote = handshake.read_act_three(
         await _read_handshake(reader, ACT_THREE_SIZE, "act three")
     )
-    if remote not in authorized:
-        raise HandshakeError(
-            f"unauthorized static key {remote.hex()[:16]}… rejected by allowlist"
-        )
-    return SecureAioFrameChannel(reader, writer, handshake.session())
+    _check_authorized(credential, remote)
+    return AioFrameChannel(reader, writer, handshake.session())

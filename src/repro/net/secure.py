@@ -2,12 +2,12 @@
 
 Both TCP substrates — the asyncio overlay backend (:mod:`repro.overlay.aio`)
 and the distributed coordinator/worker protocol
-(:mod:`repro.experiments.distributed`) — speak 4-byte length-prefixed frames.
-This module supplies the authenticated layer *below* that framing, modelled
-on Lightning's BOLT #8 transport (itself Noise_XK): a three-act handshake
-establishing per-session send/receive keys, then one AEAD-protected message
-per frame with an **encrypted length prefix**, strictly increasing nonces,
-and periodic key rotation.  A passive observer of a secure connection sees
+(:mod:`repro.experiments.distributed`) — speak the frames of
+:mod:`repro.net.frames`.  This module supplies the authenticated session
+*below* those frames, modelled on Lightning's BOLT #8 transport (itself
+Noise_XK): a three-act handshake establishing per-session send/receive
+keys, then one AEAD-protected message per frame with an **encrypted length
+prefix**, strictly increasing nonces, and periodic key rotation.  A passive observer of a secure connection sees
 neither frame boundaries nor payload bytes; an active attacker who flips a
 bit, truncates a body, or replays a ciphertext fails the MAC check.
 
@@ -70,6 +70,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..core.errors import FrameAuthenticationError, HandshakeError
+from .frames import FRAME_HEADER, check_frame_length
 
 #: Hashed into the initial handshake digest; both sides must agree on it.
 PROTOCOL_NAME = b"Noise_XK_repro+stream+hmacsha256"
@@ -85,13 +86,8 @@ PUBLIC_KEY_SIZE = 32
 SECRET_KEY_SIZE = 32
 #: Truncated HMAC-SHA256 authentication tag per AEAD call.
 TAG_SIZE = 16
-#: Plaintext frame-length prefix (matches the plain wire's ``>I`` header).
-LENGTH_SIZE = 4
-#: Wire bytes of one encrypted length prefix.
-LENGTH_CIPHERTEXT_SIZE = LENGTH_SIZE + TAG_SIZE
-#: Upper bound on one frame's plaintext, identical to the plain framing's
-#: :data:`repro.overlay.aio.MAX_FRAME_BYTES` (asserted by the test suite).
-MAX_FRAME_BYTES = 1 << 22
+#: Wire bytes of one encrypted length prefix (the plain ``>I`` header + tag).
+LENGTH_CIPHERTEXT_SIZE = FRAME_HEADER.size + TAG_SIZE
 #: Messages a single session key may protect before rotating (BOLT #8 also
 #: rotates every 1000).
 REKEY_INTERVAL = 1000
@@ -103,7 +99,6 @@ ACT_TWO_SIZE = 1 + PUBLIC_KEY_SIZE + TAG_SIZE
 ACT_THREE_SIZE = 1 + PUBLIC_KEY_SIZE + TAG_SIZE + TAG_SIZE
 
 _HANDSHAKE_VERSION = b"\x00"
-_LENGTH_HEADER = struct.Struct(">I")
 _NONCE = struct.Struct("<Q")
 
 
@@ -274,13 +269,15 @@ class CipherState:
 class SecureSession:
     """An established connection's two cipher states plus its peer identity.
 
-    ``encrypt_frame`` / ``decrypt_frame`` mirror the plain wire's
-    ``encode_frame`` / ``read_frame`` discipline one layer down: each frame
-    becomes an encrypted 4-byte length prefix (so even frame boundaries are
-    hidden) followed by the encrypted payload, each carrying its own tag.
-    The incremental ``decrypt_length`` / ``decrypt_body`` pair is what the
-    socket adapters drive.
+    A session of the :mod:`repro.net.frames` layer (the plain one is
+    :data:`~repro.net.frames.PLAIN`): each frame becomes an encrypted
+    4-byte length prefix (so even frame boundaries are hidden) followed by
+    the encrypted payload, each carrying its own tag.  The frame readers
+    drive the incremental ``decrypt_length`` / ``decrypt_body`` pair;
+    ``decrypt_frame`` opens one complete wire message.
     """
+
+    header_size = LENGTH_CIPHERTEXT_SIZE
 
     def __init__(
         self,
@@ -296,13 +293,19 @@ class SecureSession:
 
     def encrypt_frame(self, payload: bytes) -> bytes:
         """One plaintext frame payload -> its complete secure wire message."""
-        if len(payload) > MAX_FRAME_BYTES:
-            raise FrameAuthenticationError(
-                f"frame payload of {len(payload)} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte limit"
-            )
-        header = self.send_cipher.encrypt(b"", _LENGTH_HEADER.pack(len(payload)))
-        return header + self.send_cipher.encrypt(b"", payload)
+        length = FRAME_HEADER.pack(check_frame_length(len(payload)))
+        return self.send_cipher.encrypt(b"", length) + self.send_cipher.encrypt(b"", payload)
+
+    def encrypt_frames(
+        self, lead: bytes, frames: list[bytes], buffer: bytearray
+    ) -> list[bytes]:
+        """One AEAD wire message per frame, ``lead`` first (``buffer`` unused).
+
+        Callers hand the result to the transport with no ``await`` in
+        between, so nonce order always matches wire order even when several
+        senders share the connection.
+        """
+        return [self.encrypt_frame(lead), *map(self.encrypt_frame, frames)]
 
     def decrypt_length(self, header: bytes) -> int:
         """Open an encrypted length prefix; returns the body's wire size."""
@@ -311,12 +314,8 @@ class SecureSession:
                 f"encrypted length prefixes are {LENGTH_CIPHERTEXT_SIZE} bytes, "
                 f"got {len(header)}"
             )
-        (length,) = _LENGTH_HEADER.unpack(self.recv_cipher.decrypt(b"", header))
-        if length > MAX_FRAME_BYTES:
-            raise FrameAuthenticationError(
-                f"frame declares {length} bytes, over the {MAX_FRAME_BYTES}-byte limit"
-            )
-        return length + TAG_SIZE
+        (length,) = FRAME_HEADER.unpack(self.recv_cipher.decrypt(b"", header))
+        return check_frame_length(length) + TAG_SIZE
 
     def decrypt_body(self, body: bytes) -> bytes:
         """Open a frame body read after :meth:`decrypt_length`."""

@@ -9,9 +9,9 @@ interface via ``bind_host``), so :class:`~repro.overlay.node.SlicingRuntime`
 and the onion runtimes in :mod:`repro.baselines.runtime` run unchanged on
 either backend.  With ``transport="secure"`` every connection opens with the
 :mod:`repro.net` Noise-style handshake and each frame rides one AEAD
-message; because the encryption sits *below* the framing, delivered
-payloads — and the parity artifacts built from them — are bit-identical to
-a plaintext run.
+message; because the session sits *below* the framing, delivered payloads
+— and the parity artifacts built from them — are bit-identical to a
+plaintext run.
 
 How the two clocks relate
 -------------------------
@@ -35,23 +35,26 @@ wall-clock-dependent timing fields are not comparable by value.  See
 
 Wire format
 -----------
-Every message on a connection is a *frame*: a 4-byte big-endian length
-followed by that many payload bytes (:func:`encode_frame` /
-:func:`decode_frames`).  A connection opens with a hello frame
-(``sender\\x00receiver``), then carries batches: one batch-header frame
-(``>QI``: batch id, frame count) followed by the batch's payload frames —
-serialised :class:`~repro.core.packet.Packet` bytes for the slicing data
-plane, opaque onion cells for the baselines.  Frames larger than
-:data:`MAX_FRAME_BYTES` are rejected, as are truncated frames.
+Connections speak the frames of :mod:`repro.net.frames` (a 4-byte
+big-endian length, then the payload; truncated and oversized frames are
+rejected), opened by :mod:`repro.net.channel` with a plain or secure session
+and read by :func:`~repro.net.frames.read_frame`.  A connection opens with a
+hello frame (``sender\\x00receiver``), then carries batches: one
+batch-header frame (``>QI``: batch id, frame count) followed by the batch's
+payload frames — serialised :class:`~repro.core.packet.Packet` bytes for the
+slicing data plane, opaque onion cells for the baselines.  A hello that is
+not UTF-8, a batch header of the wrong size, a batch id with no batch in
+flight and an EOF inside a batch are rejected with
+:class:`~repro.core.errors.PacketFormatError`.
 
-The transmit path is zero-copy: instead of building one ``bytes`` per frame
-(length prefix + payload copy), a batch packs its header frame and every
-4-byte length prefix into a reused ``bytearray`` and hands the writer an
-interleaved sequence of :class:`memoryview` slices and the payload ``bytes``
-objects themselves via ``writelines`` — the payloads are never copied in
-Python, and the per-batch allocation is one pooled buffer instead of
-``n + 1`` throwaway ``bytes``.  The bytes on the wire are identical to the
-``encode_frame`` reference (asserted in ``tests/test_aio_backend.py``).
+A batch goes to the transport in one ``writelines`` call
+(:func:`pack_batch`), encoded by the connection's session.  On a plain
+session it is zero-copy: the header frame and every 4-byte length prefix
+are packed into a pooled ``bytearray``, interleaved with the payload
+``bytes`` objects themselves, so payloads are never copied in Python; the
+wire bytes are identical to the ``encode_frame`` reference (asserted in
+``tests/test_aio_backend.py``).  On a secure session each frame is one AEAD
+message.
 """
 
 from __future__ import annotations
@@ -66,23 +69,14 @@ from typing import Callable, Sequence
 from ..core.errors import PacketFormatError, SimulationError
 from ..core.packet import Packet
 from ..net import TransportCredential
-from ..net.channel import accept_secure_aio, connect_secure_aio
+from ..net.channel import AioFrameChannel, accept_aio, connect_aio
+from ..net.frames import PLAIN, read_frame
 from .network import NetworkModel
 from .node import DEFAULT_PER_PACKET_OVERHEAD, OverlayTransport
 from .simulator import EventSimulator
 
-#: Length prefix of every frame on the wire.
-FRAME_HEADER = struct.Struct(">I")
-
 #: Batch header payload: (batch id, number of payload frames that follow).
 BATCH_HEADER = struct.Struct(">QI")
-
-#: Upper bound on a single frame's payload; anything larger is a protocol
-#: error (slicing packets are a few KiB even at large split factors).
-MAX_FRAME_BYTES = 1 << 22
-
-#: Bytes of a batch's leading frame: length prefix plus the batch header.
-_BATCH_PREFIX = FRAME_HEADER.size + BATCH_HEADER.size
 
 #: Wall-clock seconds the backend may sit non-quiescent with no delivery
 #: progress before it declares itself wedged instead of hanging CI.
@@ -92,101 +86,22 @@ DEFAULT_STALL_TIMEOUT = 60.0
 # -- framing ------------------------------------------------------------------------
 
 
-def encode_frame(payload: bytes) -> bytes:
-    """Length-prefix ``payload`` for the wire."""
-    if len(payload) > MAX_FRAME_BYTES:
-        raise PacketFormatError(
-            f"frame payload of {len(payload)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
-        )
-    return FRAME_HEADER.pack(len(payload)) + payload
-
-
-def decode_frames(data: bytes) -> list[bytes]:
-    """Split a byte string into exact frames; reject truncated or oversized ones.
-
-    The incremental socket path reads frame by frame; this strict batch form
-    is the reference the property tests exercise: the buffer must contain a
-    whole number of well-formed frames.
-    """
-    frames: list[bytes] = []
-    offset = 0
-    total = len(data)
-    while offset < total:
-        if total - offset < FRAME_HEADER.size:
-            raise PacketFormatError("truncated frame header")
-        (length,) = FRAME_HEADER.unpack_from(data, offset)
-        if length > MAX_FRAME_BYTES:
-            raise PacketFormatError(
-                f"frame declares {length} bytes, over the {MAX_FRAME_BYTES}-byte limit"
-            )
-        offset += FRAME_HEADER.size
-        if total - offset < length:
-            raise PacketFormatError("truncated frame payload")
-        frames.append(data[offset : offset + length])
-        offset += length
-    return frames
-
-
 def pack_batch(
-    batch_id: int, frames: list[bytes], buffer: bytearray
+    batch_id: int, frames: list[bytes], buffer: bytearray, session=PLAIN
 ) -> list[bytes | memoryview]:
-    """Assemble a batch's wire chunks without copying any payload.
+    """A batch's wire chunks for ``StreamWriter.writelines``.
 
-    Packs the batch-header frame and every frame's 4-byte length prefix into
-    ``buffer`` (grown in place if needed, so callers can pool it across
-    batches) and returns the chunk sequence for ``StreamWriter.writelines``:
-    memoryview slices of ``buffer`` interleaved with the payload ``bytes``
-    objects themselves.  Joining the chunks yields exactly
-    ``encode_frame(BATCH_HEADER.pack(batch_id, len(frames)))`` followed by
-    ``encode_frame(frame)`` for each frame — the reference the property
-    tests compare against.
+    The batch-header frame, then every frame, encoded by ``session``.  On
+    the plain session the chunks are memoryview slices of ``buffer``
+    (grown in place if needed, so callers can pool it across batches)
+    interleaved with the payload ``bytes`` objects themselves, and joining
+    them yields exactly ``encode_frame(BATCH_HEADER.pack(batch_id,
+    len(frames)))`` followed by ``encode_frame(frame)`` for each frame.
 
     Callers must drop the returned memoryviews before reusing or growing
     ``buffer`` (a bytearray with live exports cannot resize).
     """
-    for frame in frames:
-        if len(frame) > MAX_FRAME_BYTES:
-            raise PacketFormatError(
-                f"frame payload of {len(frame)} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte limit"
-            )
-    needed = _BATCH_PREFIX + FRAME_HEADER.size * len(frames)
-    if len(buffer) < needed:
-        buffer.extend(bytes(needed - len(buffer)))
-    FRAME_HEADER.pack_into(buffer, 0, BATCH_HEADER.size)
-    BATCH_HEADER.pack_into(buffer, FRAME_HEADER.size, batch_id, len(frames))
-    view = memoryview(buffer)
-    chunks: list[bytes | memoryview] = [view[:_BATCH_PREFIX]]
-    offset = _BATCH_PREFIX
-    for frame in frames:
-        FRAME_HEADER.pack_into(buffer, offset, len(frame))
-        chunks.append(view[offset : offset + FRAME_HEADER.size])
-        chunks.append(frame)
-        offset += FRAME_HEADER.size
-    return chunks
-
-
-async def read_frame(reader: asyncio.StreamReader, strict: bool = False) -> bytes | None:
-    """Read one frame from a stream; ``None`` on a clean EOF between frames.
-
-    With ``strict`` (mid-batch reads, where a frame *must* follow) EOF is a
-    protocol error too.
-    """
-    try:
-        header = await reader.readexactly(FRAME_HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if exc.partial or strict:
-            raise PacketFormatError("truncated frame header") from None
-        return None
-    (length,) = FRAME_HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise PacketFormatError(
-            f"frame declares {length} bytes, over the {MAX_FRAME_BYTES}-byte limit"
-        )
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise PacketFormatError("truncated frame payload") from None
+    return session.encrypt_frames(BATCH_HEADER.pack(batch_id, len(frames)), frames, buffer)
 
 
 # -- the virtual clock --------------------------------------------------------------
@@ -294,9 +209,10 @@ class AioOverlayNetwork(OverlayTransport):
         self.stall_timeout = stall_timeout
         self.bind_host = bind_host
         self.transport = transport
-        if transport == "secure" and credential is None:
-            credential = TransportCredential.ephemeral()
-        self.credential = credential
+        #: Static identity for the secure handshake; ``None`` speaks plain frames.
+        self.credential = (
+            (credential or TransportCredential.ephemeral()) if transport == "secure" else None
+        )
         self.sim = AioClock(self)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server_tasks: dict[str, asyncio.Task] = {}
@@ -482,29 +398,19 @@ class AioOverlayNetwork(OverlayTransport):
         self, sender: str, receiver: str, batch_id: int, frames: list[bytes]
     ) -> None:
         try:
-            writer, session = await self._connection(sender, receiver)
-            if session is not None:
-                # Secure path: one AEAD message per frame, encrypted and
-                # handed to the transport in a single synchronous block so
-                # the cipher's nonce order always matches wire order even
-                # with several batches in flight on one connection.
-                chunks = [
-                    session.encrypt_frame(BATCH_HEADER.pack(batch_id, len(frames)))
-                ]
-                chunks.extend(session.encrypt_frame(frame) for frame in frames)
-                writer.writelines(chunks)
-                await writer.drain()
-                return
+            channel = await self._connection(sender, receiver)
+            writer = channel.writer
             buffer = (
                 self._prefix_buffers.pop() if self._prefix_buffers else bytearray()
             )
             handed_to_transport = False
             try:
-                chunks = pack_batch(batch_id, frames, buffer)
-                # One writelines per batch: the transport joins/queues the
-                # chunks itself, so payload bytes are never copied at the
-                # Python level and frame writes stay contiguous
-                # (per-connection FIFO intact).
+                chunks = pack_batch(batch_id, frames, buffer, channel.session)
+                # One writelines per batch, with no await since the chunks
+                # were encoded: the transport queues them contiguously
+                # (per-connection FIFO intact, and a secure session's nonce
+                # order matches wire order), and plain payload bytes are
+                # never copied at the Python level.
                 handed_to_transport = True
                 writer.writelines(chunks)
                 del chunks  # release our own memoryview exports
@@ -526,7 +432,7 @@ class AioOverlayNetwork(OverlayTransport):
         except BaseException as exc:  # noqa: B036 - must not strand _quiesce
             self._fail(exc)
 
-    async def _connection(self, sender: str, receiver: str):
+    async def _connection(self, sender: str, receiver: str) -> AioFrameChannel:
         key = (sender, receiver)
         task = self._writer_tasks.get(key)
         if task is None:
@@ -537,22 +443,14 @@ class AioOverlayNetwork(OverlayTransport):
             self._writer_tasks[key] = task
         return await task
 
-    async def _open_connection(self, sender: str, receiver: str):
-        """Dial ``receiver``'s server; returns ``(writer, session | None)``."""
+    async def _open_connection(self, sender: str, receiver: str) -> AioFrameChannel:
+        """Dial ``receiver``'s server and send the connection's hello frame."""
         server = await self._ensure_server(receiver)
         port = server.sockets[0].getsockname()[1]
         reader, writer = await asyncio.open_connection(self.bind_host, port)
-        hello = f"{sender}\x00{receiver}".encode()
-        if self.transport == "secure":
-            channel = await connect_secure_aio(
-                reader, writer, self.credential.keypair, self.credential.remote_public
-            )
-            writer.write(channel.session.encrypt_frame(hello))
-            await writer.drain()
-            return writer, channel.session
-        writer.write(encode_frame(hello))
-        await writer.drain()
-        return writer, None
+        channel = await connect_aio(reader, writer, self.credential)
+        await channel.send_frame(f"{sender}\x00{receiver}".encode())
+        return channel
 
     async def _ensure_server(self, address: str):
         # Memoised as a task (like _connection): two senders dialling the
@@ -580,32 +478,33 @@ class AioOverlayNetwork(OverlayTransport):
             task.add_done_callback(self._handler_tasks.discard)
         self._handler_writers.add(writer)
         try:
-            if self.transport == "secure":
-                channel = await accept_secure_aio(
-                    reader, writer, self.credential.keypair, self.credential.authorized
-                )
-                recv = channel.recv_frame
-            else:
-
-                async def recv(strict: bool = False) -> bytes | None:
-                    return await read_frame(reader, strict=strict)
-
-            hello = await recv()
+            session = (await accept_aio(reader, writer, self.credential)).session
+            hello = await read_frame(reader, session)
             if hello is None:
                 return
-            sender, _, receiver = hello.decode("utf-8").partition("\x00")
+            try:
+                sender, _, receiver = hello.decode("utf-8").partition("\x00")
+            except UnicodeDecodeError:
+                raise PacketFormatError("connection hello is not UTF-8") from None
             while True:
-                header = await recv()
+                header = await read_frame(reader, session)
                 if header is None:
                     break
+                if len(header) != BATCH_HEADER.size:
+                    raise PacketFormatError(
+                        f"batch header frames are {BATCH_HEADER.size} bytes, "
+                        f"got {len(header)}"
+                    )
                 batch_id, count = BATCH_HEADER.unpack(header)
+                batch = self._pending.pop(batch_id, None)
+                if batch is None:
+                    raise PacketFormatError(f"no batch {batch_id} is in flight")
                 frames = []
                 for _ in range(count):
-                    frame = await recv()
+                    frame = await read_frame(reader, session)
                     if frame is None:
-                        raise PacketFormatError("truncated frame header")
+                        raise PacketFormatError("connection closed mid-batch")
                     frames.append(frame)
-                batch = self._pending.pop(batch_id)
                 await self._deliver_batch(sender, receiver, frames, batch)
         except asyncio.CancelledError:
             raise
@@ -692,7 +591,7 @@ class AioOverlayNetwork(OverlayTransport):
         writers: list[asyncio.StreamWriter] = []
         for task in self._writer_tasks.values():
             if task.done() and not task.cancelled() and task.exception() is None:
-                writers.append(task.result()[0])
+                writers.append(task.result().writer)
             else:
                 task.cancel()
                 cancelled.append(task)

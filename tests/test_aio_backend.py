@@ -8,6 +8,8 @@ in-process versions of what the CI ``aio-parity`` job asserts across whole
 figure artifacts.
 """
 
+import asyncio
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,8 @@ from repro.core.errors import PacketFormatError, SimulationError
 from repro.experiments.runner import run_experiment
 from repro.experiments.setup_latency import measure_setup
 from repro.experiments.throughput import aggregate_throughput_vs_flows, measure_throughput
-from repro.overlay.aio import AioOverlayNetwork
+from repro.net.frames import encode_frame
+from repro.overlay.aio import BATCH_HEADER, AioOverlayNetwork
 from repro.overlay.profiles import LAN_PROFILE
 from repro.overlay.runtime import build_substrate
 
@@ -36,7 +39,7 @@ def _lan_network(addresses, seed=0):
 )
 def test_pack_batch_matches_encode_frame_reference(batch_id, frames):
     """The writelines chunk sequence joins to exactly the per-frame encoding."""
-    from repro.overlay.aio import BATCH_HEADER, encode_frame, pack_batch
+    from repro.overlay.aio import pack_batch
 
     buffer = bytearray()
     chunks = pack_batch(batch_id, frames, buffer)
@@ -65,7 +68,8 @@ def test_pack_batch_reuses_and_grows_the_buffer():
 
 
 def test_pack_batch_rejects_oversized_frames_before_writing():
-    from repro.overlay.aio import MAX_FRAME_BYTES, pack_batch
+    from repro.net.frames import MAX_FRAME_BYTES
+    from repro.overlay.aio import pack_batch
 
     with pytest.raises(PacketFormatError):
         pack_batch(1, [b"ok", bytes(MAX_FRAME_BYTES + 1)], bytearray())
@@ -144,6 +148,20 @@ def test_runner_parity_artifacts_are_byte_identical(tmp_path):
     # why the parity file exists.
     assert (tmp_path / "sim" / "fig14.json").exists()
     assert (tmp_path / "aio" / "fig14.json").exists()
+
+
+def test_secure_transport_parity_with_simulator(monkeypatch):
+    """Every frame rides an AEAD message; the delivered bytes do not change."""
+    monkeypatch.setenv("REPRO_AIO_TRANSPORT", "secure")
+    results = {
+        backend: measure_throughput(
+            "slicing", LAN_PROFILE, path_length=2, d=2, num_messages=15, seed=42,
+            backend=backend,
+        )
+        for backend in ("sim", "aio")
+    }
+    assert results["sim"].parity_fields() == results["aio"].parity_fields()
+    assert results["sim"].delivered_digest == results["aio"].delivered_digest != ""
 
 
 def test_runner_rejects_backend_for_sim_only_experiments(tmp_path):
@@ -228,3 +246,50 @@ def test_aio_pace_shapes_wall_clock_delivery():
         assert slow_wall >= 0.04
     finally:
         slow.close()
+
+
+# -- malformed peer input -----------------------------------------------------------
+
+
+def _hello(sender: str = "a", receiver: str = "b") -> bytes:
+    return encode_frame(f"{sender}\x00{receiver}".encode())
+
+
+@pytest.mark.parametrize(
+    "wire",
+    [
+        pytest.param(encode_frame(b"\xff\xfe"), id="hello-not-utf8"),
+        pytest.param(_hello() + encode_frame(bytes(11)), id="short-batch-header"),
+        pytest.param(
+            _hello() + encode_frame(BATCH_HEADER.pack(999, 0)), id="unknown-batch-id"
+        ),
+        pytest.param(
+            _hello() + encode_frame(BATCH_HEADER.pack(1, 2)) + encode_frame(b"x"),
+            id="eof-mid-batch",
+        ),
+    ],
+)
+def test_aio_reader_rejects_malformed_peer_input_with_a_typed_error(wire):
+    """A raw loopback peer's bad bytes fail the drive with PacketFormatError."""
+    substrate = AioOverlayNetwork(_lan_network(["a", "b"]), connection_bps=30e6)
+    try:
+        # Batch 1 is in flight (submitted, never sent): only the raw peer's
+        # bytes ever reach b's server.
+        substrate.transmit_blobs("a", "b", [b"x", b"y"], lambda blobs, arrivals: None)
+        loop = substrate._ensure_loop()
+
+        async def raw_peer():
+            server = await substrate._ensure_server("b")
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(wire)
+            writer.write_eof()
+            # The server closes the connection once it has rejected the input.
+            await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+
+        loop.run_until_complete(raw_peer())
+        with pytest.raises(PacketFormatError):
+            substrate.sim.run()
+    finally:
+        substrate.close()

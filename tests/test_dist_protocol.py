@@ -1,15 +1,18 @@
 """Property tests for the distributed coordinator's wire protocol.
 
-Mirrors ``tests/test_wire_format.py`` for the coordinator/worker plane: the
-protocol ships length-prefixed canonical-JSON frames over TCP (the same
-framing discipline as the asyncio overlay backend), so these tests drive the
-encode→decode round trip of lease and result messages with hypothesis, check
-that truncated and oversized frames are rejected rather than mis-parsed, and
-exercise the lease ledger's idempotence guarantees (duplicate results, stale
-leases, expiry re-dispatch).
+The protocol ships compact-JSON messages, one per frame of
+:mod:`repro.net.frames`, through the :mod:`repro.net.channel` adapters.
+These tests drive the encode→decode round trip of lease and result messages
+through a worker's blocking-socket channel with hypothesis, check that
+malformed and oversized messages are rejected rather than mis-parsed, and
+exercise the lease ledger's idempotence guarantees (duplicate results,
+stale leases, expiry re-dispatch).  Truncated and oversized *frames* are
+the frame layer's, tested once for every transport in
+``tests/test_wire_format.py``.
 """
 
 import json
+import socket
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,20 +22,34 @@ from repro.experiments.distributed import (
     Lease,
     TrialLedger,
     decode_message,
-    encode_message,
+    message_payload,
     trials_digest,
 )
-from repro.overlay.aio import FRAME_HEADER, MAX_FRAME_BYTES, decode_frames
+from repro.net.channel import SyncFrameChannel
+from repro.net.frames import MAX_FRAME_BYTES
 
 from strategies import json_scalars, lease_messages, result_messages
+
+
+def over_the_wire(messages: list[dict]) -> list[dict]:
+    """Send messages through one worker channel and read them back in order."""
+    sender, receiver = socket.socketpair()
+    with sender, receiver:
+        receiver.settimeout(10)
+        for message in messages:
+            SyncFrameChannel(sender).send_frame(message_payload(message))
+        sender.shutdown(socket.SHUT_WR)
+        channel = SyncFrameChannel(receiver)
+        received = []
+        while (payload := channel.recv_frame()) is not None:
+            received.append(decode_message(payload))
+        return received
 
 
 @given(message=st.one_of(lease_messages(), result_messages()))
 @settings(max_examples=150, deadline=None)
 def test_lease_and_result_frames_round_trip(message):
-    frame = encode_message(message)
-    (payload,) = decode_frames(frame)
-    assert decode_message(payload) == message
+    assert over_the_wire([message]) == [message]
 
 
 @given(message=result_messages())
@@ -40,9 +57,7 @@ def test_lease_and_result_frames_round_trip(message):
 def test_row_key_order_survives_the_wire(message):
     # The artifact serialisation preserves row insertion order, so the
     # envelope must not re-order what it carries.
-    frame = encode_message(message)
-    (payload,) = decode_frames(frame)
-    decoded = decode_message(payload)
+    (decoded,) = over_the_wire([message])
     for original, parsed in zip(message["results"], decoded["results"]):
         assert list(original[1]) == list(parsed[1])
 
@@ -54,30 +69,14 @@ def test_row_key_order_survives_the_wire(message):
 )
 @settings(max_examples=50, deadline=None)
 def test_concatenated_message_frames_decode_in_order(messages):
-    wire = b"".join(encode_message(m) for m in messages)
-    payloads = decode_frames(wire)
-    assert [decode_message(p) for p in payloads] == messages
-
-
-@given(message=st.one_of(lease_messages(), result_messages()), data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_truncated_message_frames_are_rejected(message, data):
-    frame = encode_message(message)
-    cut = data.draw(st.integers(1, len(frame) - 1), label="cut")
-    with pytest.raises(PacketFormatError):
-        decode_frames(frame[:cut])
+    assert over_the_wire(messages) == messages
 
 
 def test_oversized_message_is_rejected_on_encode():
     huge = {"type": "result", "blob": "x" * (MAX_FRAME_BYTES + 1)}
-    with pytest.raises(PacketFormatError):
-        encode_message(huge)
-
-
-def test_oversized_frame_is_rejected_on_decode():
-    wire = FRAME_HEADER.pack(MAX_FRAME_BYTES + 1) + b"x"
-    with pytest.raises(PacketFormatError):
-        decode_frames(wire)
+    sender, receiver = socket.socketpair()
+    with sender, receiver, pytest.raises(PacketFormatError):
+        SyncFrameChannel(sender).send_frame(message_payload(huge))
 
 
 def test_non_message_payloads_are_rejected():
@@ -88,9 +87,9 @@ def test_non_message_payloads_are_rejected():
     with pytest.raises(PacketFormatError):
         decode_message(json.dumps({"no_type": 1}).encode())  # no "type"
     with pytest.raises(PacketFormatError):
-        encode_message({"type": 7})  # non-string type
+        message_payload({"type": 7})  # non-string type
     with pytest.raises(PacketFormatError):
-        encode_message(["type"])  # not a dict
+        message_payload(["type"])  # not a dict
 
 
 @given(

@@ -20,11 +20,22 @@ from repro.experiments.__main__ import main as experiments_main
 from repro.experiments.distributed import (
     PROTOCOL_VERSION,
     _connect_with_retry,
-    _recv_message,
-    encode_message,
+    decode_message,
+    message_payload,
 )
+from repro.net.frames import encode_frame, read_frame_blocking
 
 SMALL = 0.03
+
+
+def _frame(message: dict) -> bytes:
+    """One protocol message as plain wire bytes (for hand-rolled workers)."""
+    return encode_frame(message_payload(message))
+
+
+def _recv(sock: socket.socket) -> dict | None:
+    payload = read_frame_blocking(sock)
+    return None if payload is None else decode_message(payload)
 
 
 def _free_port() -> int:
@@ -113,20 +124,20 @@ def test_distributed_run_redispatches_expired_leases(tmp_path):
         # the coordinator must expire the lease and re-dispatch its trials.
         with _connect_with_retry("127.0.0.1", port, connect_timeout=30) as sock:
             sock.sendall(
-                encode_message(
+                _frame(
                     {"type": "hello", "protocol": PROTOCOL_VERSION, "worker": "stall"}
                 )
             )
-            job = _recv_message(sock)
+            job = _recv(sock)
             assert job["type"] == "job"
-            sock.sendall(encode_message({"type": "request"}))
-            lease = _recv_message(sock)
+            sock.sendall(_frame({"type": "request"}))
+            lease = _recv(sock)
             assert lease["type"] == "lease"
             stalled.set()
             # Hold the connection (and the lease) until the run is over.
             sock.settimeout(60)
             try:
-                _recv_message(sock)  # unblocks on coordinator teardown EOF
+                _recv(sock)  # unblocks on coordinator teardown EOF
             except Exception:
                 pass
 
@@ -170,11 +181,11 @@ def test_duplicate_results_on_the_wire_are_idempotent(tmp_path):
         with _connect_with_retry("127.0.0.1", port, connect_timeout=30) as sock:
             sock.settimeout(60)
             sock.sendall(
-                encode_message(
+                _frame(
                     {"type": "hello", "protocol": PROTOCOL_VERSION, "worker": "dup"}
                 )
             )
-            job = _recv_message(sock)
+            job = _recv(sock)
             assert job["type"] == "job"
             from repro.experiments.runner import (
                 _jsonify,
@@ -187,20 +198,20 @@ def test_duplicate_results_on_the_wire_are_idempotent(tmp_path):
             experiment = get_experiment(job["experiment"])
             trials = build_trial_list(experiment, job["scale"], job["backend"])
             payloads = trial_payloads(experiment.name, trials, job["seed"])
-            sock.sendall(encode_message({"type": "request"}))
+            sock.sendall(_frame({"type": "request"}))
             while True:
-                message = _recv_message(sock)
+                message = _recv(sock)
                 if message is None or message["type"] == "done":
                     return
                 if message["type"] == "wait":
                     time.sleep(0.05)
-                    sock.sendall(encode_message({"type": "request"}))
+                    sock.sendall(_frame({"type": "request"}))
                     continue
                 results = []
                 for index in message["indices"]:
                     _, row = execute_trial(payloads[index])
                     results.append([index, _jsonify(row)])
-                frame = encode_message(
+                frame = _frame(
                     {
                         "type": "result",
                         "lease_id": message["lease_id"],

@@ -34,11 +34,7 @@ from repro.net import (
     load_public_key,
     write_keypair,
 )
-from repro.net.channel import (
-    accept_secure_aio,
-    accept_secure_sync,
-    connect_secure_sync,
-)
+from repro.net.channel import accept_aio, accept_sync, connect_sync
 from repro.net.secure import (
     REKEY_INTERVAL,
     TAG_SIZE,
@@ -263,17 +259,16 @@ def _handshake_sockets():
 def test_sync_adapters_interoperate_and_enforce_the_allowlist():
     coordinator = keypair(b"sync-coordinator")
     worker = keypair(b"sync-worker")
+    responder = TransportCredential(coordinator, frozenset({worker.public}))
     server, client = _handshake_sockets()
     accepted = {}
 
     def serve():
-        accepted["channel"] = accept_secure_sync(
-            server, coordinator, frozenset({worker.public})
-        )
+        accepted["channel"] = accept_sync(server, responder)
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
-    channel = connect_secure_sync(client, worker, coordinator.public)
+    channel = connect_sync(client, TransportCredential(worker, remote_public=coordinator.public))
     thread.join(timeout=10)
     assert not thread.is_alive()
     channel.send_frame(b"hello over sync")
@@ -291,13 +286,13 @@ def test_sync_adapters_interoperate_and_enforce_the_allowlist():
 
     def serve_rejecting():
         try:
-            accept_secure_sync(server, coordinator, frozenset({worker.public}))
+            accept_sync(server, responder)
         except HandshakeError as exc:
             errors["server"] = str(exc)
 
     thread = threading.Thread(target=serve_rejecting, daemon=True)
     thread.start()
-    connect_secure_sync(client, rogue, coordinator.public)
+    connect_sync(client, TransportCredential(rogue, remote_public=coordinator.public))
     thread.join(timeout=10)
     assert "unauthorized static key" in errors["server"]
     server.close()
@@ -313,9 +308,8 @@ def test_sync_worker_interoperates_with_aio_acceptor():
         received = []
 
         async def handle(reader, writer):
-            channel = await accept_secure_aio(
-                reader, writer, coordinator, frozenset({worker.public})
-            )
+            responder = TransportCredential(coordinator, frozenset({worker.public}))
+            channel = await accept_aio(reader, writer, responder)
             received.append(await channel.recv_frame())
             await channel.send_frame(b"ack from aio")
             writer.close()
@@ -325,7 +319,8 @@ def test_sync_worker_interoperates_with_aio_acceptor():
 
         def sync_client():
             with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-                channel = connect_secure_sync(sock, worker, coordinator.public)
+                initiator = TransportCredential(worker, remote_public=coordinator.public)
+                channel = connect_sync(sock, initiator)
                 channel.send_frame(b"hello from sync")
                 return channel.recv_frame()
 
