@@ -4,7 +4,7 @@ must beat the equivalent per-message encode loop by at least 3x.
 
 Regenerates the series through the experiment runner
 (``run_experiment("microbench")``) and prints the rows the paper plots.  See
-EXPERIMENTS.md for paper-vs-measured.
+the figure table in README.md for how each experiment maps to the paper.
 """
 
 from repro.experiments import format_table

@@ -1,35 +1,10 @@
 """Experiment harness: a registry of named experiments plus a parallel runner."""
 
-from .ablations import (
-    ablation_as_selection,
-    ablation_network_coding,
-    ablation_transforms,
-)
 from .distributed import (
     DistributedRunResult,
     TrialLedger,
     run_distributed,
     run_worker,
-)
-from .figures import (
-    FIGURES,
-    anonymity_microbenchmark,
-    chaum_microbenchmark,
-    coding_microbenchmark,
-    dataplane_microbenchmark,
-    distributed_sharding_benchmark,
-    figure07_anonymity_vs_malicious,
-    figure08_anonymity_vs_split,
-    figure09_anonymity_vs_path_length,
-    figure10_anonymity_vs_redundancy,
-    figure11_throughput_lan,
-    figure12_throughput_wan,
-    figure13_scaling_with_flows,
-    figure14_setup_latency_lan,
-    figure15_setup_latency_wan,
-    figure16_resilience_analysis,
-    figure17_churn_resilience,
-    gf_kernel_microbenchmark,
 )
 from .registry import REGISTRY, Experiment, experiment_names, get_experiment, register
 from .report import build_report, render_markdown, write_report
@@ -62,7 +37,6 @@ from .throughput import (
 )
 
 __all__ = [
-    "FIGURES",
     "REGISTRY",
     "Experiment",
     "RunResult",
@@ -71,27 +45,7 @@ __all__ = [
     "experiment_names",
     "run_experiment",
     "experiment_rows",
-    "ablation_transforms",
-    "ablation_as_selection",
-    "ablation_network_coding",
     "format_table",
-    "figure07_anonymity_vs_malicious",
-    "figure08_anonymity_vs_split",
-    "figure09_anonymity_vs_path_length",
-    "figure10_anonymity_vs_redundancy",
-    "figure11_throughput_lan",
-    "figure12_throughput_wan",
-    "figure13_scaling_with_flows",
-    "figure14_setup_latency_lan",
-    "figure15_setup_latency_wan",
-    "figure16_resilience_analysis",
-    "figure17_churn_resilience",
-    "coding_microbenchmark",
-    "anonymity_microbenchmark",
-    "chaum_microbenchmark",
-    "dataplane_microbenchmark",
-    "distributed_sharding_benchmark",
-    "gf_kernel_microbenchmark",
     "DistributedRunResult",
     "TrialLedger",
     "run_distributed",

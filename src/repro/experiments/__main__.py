@@ -38,21 +38,17 @@ explicit names, all of the matrix's cells run.  ``report`` merges the cell
 artifacts of a matrix into ``scenario_report.json`` plus a markdown page
 (:mod:`repro.experiments.report`), with optional baseline-delta and
 bench-trajectory sections.
-
-The legacy invocation ``python -m repro.experiments [fig07 ...] [--scale S]``
-still works: it runs the named figures inline and prints their tables.
 """
 
 from __future__ import annotations
 
 import argparse
+from collections.abc import Callable
 
 from ..overlay.runtime import SUBSTRATE_BACKENDS
 from .registry import experiment_names, get_experiment
 from .runner import DEFAULT_RESULTS_DIR, run_experiment
 from .tables import format_table
-
-_SUBCOMMANDS = ("run", "list", "coordinate", "worker", "report", "keygen")
 
 #: Wire transports the distributed subcommands accept (mirrors
 #: :data:`repro.experiments.distributed.TRANSPORTS`).
@@ -66,24 +62,76 @@ def _positive_float(raw: str) -> float:
     return value
 
 
+def _experiment_flags() -> argparse.ArgumentParser:
+    """The flags ``run`` and ``coordinate`` share, declared once."""
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument(
+        "--scale",
+        type=_positive_float,
+        default=1.0,
+        help="trial-count scale factor (1.0 = the paper's full counts)",
+    )
+    shared.add_argument(
+        "--seed", type=int, default=None, help="override the experiment's base seed"
+    )
+    shared.add_argument(
+        "--out",
+        default=str(DEFAULT_RESULTS_DIR),
+        help="artifact directory (default: results/)",
+    )
+    shared.add_argument(
+        "--backend",
+        choices=SUBSTRATE_BACKENDS,
+        default="sim",
+        help="overlay transport backend for figs. 11-15: 'sim' (discrete-event, "
+        "default) or 'aio' (asyncio localhost TCP)",
+    )
+    # --scheme and --kernel are checked by _validate_experiments (not via
+    # argparse choices) so an unsupported pairing is a one-line exit-2 error
+    # listing what is supported, and a missing compiled backend is not a
+    # traceback.
+    shared.add_argument(
+        "--scheme",
+        default=None,
+        metavar="NAME",
+        help="restrict a scheme-capable experiment (figs. 11-15) to one "
+        "registered protocol runtime (slicing, onion, onion-erasure, sphinx)",
+    )
+    shared.add_argument(
+        "--kernel",
+        default=None,
+        metavar="NAME",
+        help="GF(2^8) kernel trials execute with: 'numpy' (reference) or "
+        "'compiled' (numba/cext, requires the 'fast' extra or a C "
+        "toolchain); results are bit-identical either way",
+    )
+    shared.add_argument(
+        "--matrix",
+        action="append",
+        default=None,
+        metavar="SPEC",
+        help="scenario-matrix spec file whose cells to register (repeatable)",
+    )
+    shared.add_argument(
+        "--force",
+        action="store_true",
+        help="recompute even if a matching artifact exists",
+    )
+    return shared
+
+
 def main(argv: list[str] | None = None) -> int:
-    import sys
-
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] in _SUBCOMMANDS:
-        return _dispatch(argv)
-    return _legacy_main(argv)
-
-
-def _dispatch(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-experiments", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    experiment_flags = _experiment_flags()
 
     run_parser = subparsers.add_parser(
-        "run", help="run experiments through the parallel runner"
+        "run",
+        parents=[experiment_flags],
+        help="run experiments through the parallel runner",
     )
     run_parser.add_argument(
         "names",
@@ -91,13 +139,6 @@ def _dispatch(argv: list[str]) -> int:
         metavar="name",
         help="registered experiment names (see the 'list' subcommand); "
         "defaults to every cell of the --matrix spec(s) when omitted",
-    )
-    run_parser.add_argument(
-        "--matrix",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help="scenario-matrix spec file whose cells to register (repeatable)",
     )
     # Validated in _run_command (not via argparse type=) so that a bad count
     # is a one-line stderr error like the unknown-name/unsupported-backend
@@ -114,47 +155,6 @@ def _dispatch(argv: list[str]) -> int:
         "distributed coordinator (see the 'coordinate'/'worker' subcommands)",
     )
     run_parser.add_argument(
-        "--scale",
-        type=_positive_float,
-        default=1.0,
-        help="trial-count scale factor (1.0 = the paper's full counts)",
-    )
-    run_parser.add_argument(
-        "--out",
-        default=str(DEFAULT_RESULTS_DIR),
-        help="artifact directory (default: results/)",
-    )
-    run_parser.add_argument(
-        "--seed", type=int, default=None, help="override the experiment's base seed"
-    )
-    run_parser.add_argument(
-        "--backend",
-        choices=SUBSTRATE_BACKENDS,
-        default="sim",
-        help="overlay transport backend for figs. 11-15: 'sim' (discrete-event, "
-        "default) or 'aio' (asyncio localhost TCP)",
-    )
-    # Validated in _run_command via the runner's validate_scheme so an
-    # unsupported scheme/backend pairing is a one-line exit-2 error listing
-    # the supported schemes, not a usage dump.
-    run_parser.add_argument(
-        "--scheme",
-        default=None,
-        metavar="NAME",
-        help="restrict a scheme-capable experiment (figs. 11-15) to one "
-        "registered protocol runtime (slicing, onion, onion-erasure, sphinx)",
-    )
-    # Validated in _run_command via the runner's validate_kernel so a
-    # missing compiled backend is a one-line exit-2 error, not a traceback.
-    run_parser.add_argument(
-        "--kernel",
-        default=None,
-        metavar="NAME",
-        help="GF(2^8) kernel trials execute with: 'numpy' (reference) or "
-        "'compiled' (numba/cext, requires the 'fast' extra or a C "
-        "toolchain); results are bit-identical either way",
-    )
-    run_parser.add_argument(
         "--transport",
         choices=_TRANSPORT_CHOICES,
         default="plain",
@@ -162,14 +162,10 @@ def _dispatch(argv: list[str]) -> int:
         "(authenticated Noise-style channel with auto-generated throwaway "
         "keys); artifacts are byte-identical either way",
     )
-    run_parser.add_argument(
-        "--force",
-        action="store_true",
-        help="recompute even if a matching artifact exists",
-    )
 
     coordinate_parser = subparsers.add_parser(
         "coordinate",
+        parents=[experiment_flags],
         help="lease one experiment's trials to TCP workers and merge the rows",
     )
     coordinate_parser.add_argument(
@@ -183,38 +179,6 @@ def _dispatch(argv: list[str]) -> int:
         type=int,
         default=0,
         help="TCP port to listen on (default: 0 = pick a free port and print it)",
-    )
-    coordinate_parser.add_argument(
-        "--scale",
-        type=_positive_float,
-        default=1.0,
-        help="trial-count scale factor (1.0 = the paper's full counts)",
-    )
-    coordinate_parser.add_argument(
-        "--seed", type=int, default=None, help="override the experiment's base seed"
-    )
-    coordinate_parser.add_argument(
-        "--out",
-        default=str(DEFAULT_RESULTS_DIR),
-        help="artifact directory (default: results/)",
-    )
-    coordinate_parser.add_argument(
-        "--backend",
-        choices=SUBSTRATE_BACKENDS,
-        default="sim",
-        help="overlay transport backend workers run trials on (default: sim)",
-    )
-    coordinate_parser.add_argument(
-        "--scheme",
-        default=None,
-        metavar="NAME",
-        help="restrict a scheme-capable experiment to one protocol runtime",
-    )
-    coordinate_parser.add_argument(
-        "--kernel",
-        default=None,
-        metavar="NAME",
-        help="GF(2^8) kernel workers execute trials with (numpy or compiled)",
     )
     coordinate_parser.add_argument(
         "--chunk", type=int, default=1, help="trial indices per lease (default: 1)"
@@ -239,13 +203,6 @@ def _dispatch(argv: list[str]) -> int:
         help="abort if the run has not completed after this many seconds",
     )
     coordinate_parser.add_argument(
-        "--matrix",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help="scenario-matrix spec file whose cells to register (repeatable)",
-    )
-    coordinate_parser.add_argument(
         "--transport",
         choices=_TRANSPORT_CHOICES,
         default="plain",
@@ -263,11 +220,6 @@ def _dispatch(argv: list[str]) -> int:
         default=None,
         metavar="PATH",
         help="allowlist of authorized worker public keys, one hex key per line",
-    )
-    coordinate_parser.add_argument(
-        "--force",
-        action="store_true",
-        help="recompute even if a matching artifact exists",
     )
 
     worker_parser = subparsers.add_parser(
@@ -504,56 +456,67 @@ def _load_credential(
     )
 
 
-def _validate_names(names: list[str], backend: str) -> int:
-    """Shared up-front validation so usage mistakes exit with one line,
-    while genuine failures inside trial code keep their tracebacks."""
+def _validate_experiments(
+    names: list[str],
+    args: argparse.Namespace,
+    shard_error: Callable[[list[str]], str] | None = None,
+) -> int:
+    """Up-front checks ``run`` and ``coordinate`` share, in order: names,
+    backend, scheme, kernel, shardable.
+
+    Each usage mistake exits 2 with one line, while genuine failures inside
+    trial code keep their tracebacks.  An unavailable compiled kernel is a
+    usage error too (install the ``fast`` extra or provide a C toolchain).
+    ``shard_error(names)`` words the error for experiments that cannot be
+    sharded; ``None`` skips that check (runs that stay in-process).
+    """
+    from ..core.errors import KernelUnavailableError
+    from .runner import validate_kernel, validate_scheme
+
     unknown = [name for name in names if name not in experiment_names()]
     if unknown:
         known = ", ".join(experiment_names())
         return _fail(f"unknown experiment(s): {', '.join(unknown)} (known: {known})")
+    experiments = [get_experiment(name) for name in names]
     unsupported = [
-        name for name in names if backend not in get_experiment(name).backends
+        experiment.name
+        for experiment in experiments
+        if args.backend not in experiment.backends
     ]
     if unsupported:
         return _fail(
             f"experiment(s) {', '.join(unsupported)} do not support "
-            f"backend {backend!r} (simulator-only)"
+            f"backend {args.backend!r} (simulator-only)"
         )
+    try:
+        if args.scheme is not None:
+            for experiment in experiments:
+                validate_scheme(experiment, args.scheme, args.backend)
+        if args.kernel is not None:
+            for experiment in experiments:
+                validate_kernel(experiment, args.kernel)
+    except (ValueError, KernelUnavailableError) as error:
+        return _fail(str(error))
+    unshardable = [
+        experiment.name for experiment in experiments if not experiment.shardable
+    ]
+    if shard_error is not None and unshardable:
+        return _fail(shard_error(unshardable))
     return 0
 
 
-def _validate_scheme(names: list[str], scheme: str | None, backend: str) -> int:
-    """Per-experiment --scheme validation: one-line exit-2 usage errors."""
-    if scheme is None:
-        return 0
-    from .runner import validate_scheme
-
-    for name in names:
-        try:
-            validate_scheme(get_experiment(name), scheme, backend)
-        except ValueError as error:
-            return _fail(str(error))
-    return 0
-
-
-def _validate_kernel(names: list[str], kernel: str | None) -> int:
-    """Per-experiment --kernel validation: one-line exit-2 usage errors.
-
-    An unavailable compiled backend is a usage error too (install the
-    ``fast`` extra or provide a C toolchain), so it gets the same one-line
-    treatment instead of a traceback.
-    """
-    if kernel is None:
-        return 0
-    from ..core.errors import KernelUnavailableError
-    from .runner import validate_kernel
-
-    for name in names:
-        try:
-            validate_kernel(get_experiment(name), kernel)
-        except (ValueError, KernelUnavailableError) as error:
-            return _fail(str(error))
-    return 0
+def _experiment_kwargs(args: argparse.Namespace) -> dict:
+    """The shared experiment flags as keywords of ``run_experiment`` and
+    ``run_distributed`` (both take the same names)."""
+    return {
+        "scale": args.scale,
+        "seed": args.seed,
+        "out_dir": args.out,
+        "force": args.force,
+        "backend": args.backend,
+        "scheme": args.scheme,
+        "kernel": args.kernel,
+    }
 
 
 def _print_result(name: str, result) -> None:
@@ -607,51 +570,29 @@ def _run_command(args: argparse.Namespace, matrices: list) -> int:
             "--transport applies to the distributed wire; pair it with --dist "
             "(or use the coordinate/worker subcommands)"
         )
-    code = _validate_names(args.names, args.backend)
+    code = _validate_experiments(
+        args.names,
+        args,
+        shard_error=None if args.dist is None else lambda unshardable: (
+            f"experiment(s) {', '.join(unshardable)} are not shardable "
+            "(single-host wall-clock measurements); drop --dist"
+        ),
+    )
     if code:
         return code
-    code = _validate_scheme(args.names, args.scheme, args.backend)
-    if code:
-        return code
-    code = _validate_kernel(args.names, args.kernel)
-    if code:
-        return code
-    if args.dist is not None:
-        unshardable = [
-            name for name in args.names if not get_experiment(name).shardable
-        ]
-        if unshardable:
-            return _fail(
-                f"experiment(s) {', '.join(unshardable)} are not shardable "
-                "(single-host wall-clock measurements); drop --dist"
-            )
     for name in args.names:
         if args.dist is not None:
             from .distributed import run_distributed
 
             result = run_distributed(
                 name,
-                scale=args.scale,
-                seed=args.seed,
-                out_dir=args.out,
-                force=args.force,
-                backend=args.backend,
-                scheme=args.scheme,
-                kernel=args.kernel,
+                **_experiment_kwargs(args),
                 workers=args.dist,
                 transport=args.transport,
             )
         else:
             result = run_experiment(
-                name,
-                scale=args.scale,
-                workers=args.workers,
-                seed=args.seed,
-                out_dir=args.out,
-                force=args.force,
-                backend=args.backend,
-                scheme=args.scheme,
-                kernel=args.kernel,
+                name, **_experiment_kwargs(args), workers=args.workers
             )
         _print_result(name, result)
     return 0
@@ -660,26 +601,24 @@ def _run_command(args: argparse.Namespace, matrices: list) -> int:
 def _coordinate_command(args: argparse.Namespace) -> int:
     from .distributed import run_distributed
 
-    code = _validate_names([args.name], args.backend)
-    if code:
-        return code
-    code = _validate_scheme([args.name], args.scheme, args.backend)
-    if code:
-        return code
-    code = _validate_kernel([args.name], args.kernel)
-    if code:
-        return code
-    if not get_experiment(args.name).shardable:
-        return _fail(
-            f"experiment {args.name!r} is not shardable "
+    code = _validate_experiments(
+        [args.name],
+        args,
+        shard_error=lambda unshardable: (
+            f"experiment {unshardable[0]!r} is not shardable "
             "(single-host wall-clock measurement)"
-        )
+        ),
+    )
+    if code:
+        return code
     if args.chunk < 1:
         return _fail(f"--chunk must be >= 1, got {args.chunk}")
     if args.lease_seconds <= 0:
         return _fail(f"--lease-seconds must be positive, got {args.lease_seconds}")
     if args.min_workers < 1:
         return _fail(f"--min-workers must be >= 1, got {args.min_workers}")
+    if args.timeout is not None and args.timeout <= 0:
+        return _fail(f"--timeout must be positive, got {args.timeout}")
     code = _validate_endpoint(args.host, args.port, listen=True)
     if code:
         return code
@@ -694,13 +633,7 @@ def _coordinate_command(args: argparse.Namespace) -> int:
         return _fail("--keyfile/--authorized-keys require --transport secure")
     result = run_distributed(
         args.name,
-        scale=args.scale,
-        seed=args.seed,
-        out_dir=args.out,
-        force=args.force,
-        backend=args.backend,
-        scheme=args.scheme,
-        kernel=args.kernel,
+        **_experiment_kwargs(args),
         host=args.host,
         port=args.port,
         workers=0,
@@ -726,6 +659,8 @@ def _worker_command(args: argparse.Namespace) -> int:
 
     from .distributed import run_worker
 
+    if args.connect_timeout < 0:
+        return _fail(f"--connect-timeout must be >= 0, got {args.connect_timeout}")
     code = _validate_endpoint(args.host, args.port, listen=False)
     if code:
         return code
@@ -791,33 +726,6 @@ def _report_command(args: argparse.Namespace, matrix) -> int:
     print(f"json: {json_path}")
     if md_path is not None:
         print(f"markdown: {md_path}")
-    return 0
-
-
-def _legacy_main(argv: list[str]) -> int:
-    from .figures import FIGURES
-
-    parser = argparse.ArgumentParser(
-        description="Regenerate paper figures (legacy interface)."
-    )
-    parser.add_argument(
-        "figures",
-        nargs="*",
-        choices=[*FIGURES, []],
-        help="figures to regenerate (default: all)",
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=0.2,
-        help="trial-count scale factor (1.0 = the paper's full counts)",
-    )
-    args = parser.parse_args(argv)
-    selected = args.figures or list(FIGURES)
-    for name in selected:
-        rows = FIGURES[name](scale=args.scale)
-        print(f"\n=== {name} ===")
-        print(format_table(rows))
     return 0
 
 

@@ -76,7 +76,8 @@ class Experiment:
 
 
 #: All registered experiments by name.  Populated by importing
-#: :mod:`~repro.experiments.figures` and :mod:`~repro.experiments.ablations`.
+#: :mod:`~repro.experiments.figures`, :mod:`~repro.experiments.ablations` and
+#: :mod:`~repro.experiments.distinguishability` (see :func:`get_experiment`).
 REGISTRY: dict[str, Experiment] = {}
 
 

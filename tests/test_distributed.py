@@ -338,3 +338,12 @@ def test_cli_coordinate_validation(capsys):
     assert "--lease-seconds" in capsys.readouterr().err
     assert experiments_main(["coordinate", "fig16", "--min-workers", "0"]) == 2
     assert "--min-workers" in capsys.readouterr().err
+    for bad in ("0", "-1"):
+        assert experiments_main(["coordinate", "fig16", "--timeout", bad]) == 2
+        captured = capsys.readouterr()
+        assert "--timeout" in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert experiments_main(["worker", "--port", "47613", "--connect-timeout", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--connect-timeout" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

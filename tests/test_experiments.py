@@ -1,11 +1,8 @@
 """Tests for the per-figure experiment harness (small-scale smoke + shape checks)."""
 
 from repro.experiments import (
-    FIGURES,
-    coding_microbenchmark,
-    figure07_anonymity_vs_malicious,
-    figure16_resilience_analysis,
-    figure17_churn_resilience,
+    experiment_names,
+    experiment_rows,
     format_table,
     measure_onion_setup,
     measure_onion_throughput,
@@ -30,12 +27,18 @@ def test_registry_contains_every_figure():
         "distbench",
         "distsweep",
         "distinguishability",
+        "ablation_as_selection",
+        "ablation_network_coding",
+        "ablation_transforms",
     }
-    assert expected == set(FIGURES)
+    # Scenario-matrix cells (``scn-*``) register dynamically from spec files.
+    assert expected == {
+        name for name in experiment_names() if not name.startswith("scn-")
+    }
 
 
 def test_fig07_shape():
-    rows = figure07_anonymity_vs_malicious(scale=SMALL)
+    rows = experiment_rows("fig07", scale=SMALL)
     assert rows[0]["fraction_malicious"] < rows[-1]["fraction_malicious"]
     # Low-f anonymity is near 1, and degrades as f grows.
     assert rows[0]["source_anonymity"] > 0.9
@@ -80,7 +83,7 @@ def test_setup_latency_wan_slower_than_lan():
 
 
 def test_fig16_slicing_dominates_onion_erasure():
-    rows = figure16_resilience_analysis()
+    rows = experiment_rows("fig16")
     for row in rows:
         assert row["information_slicing_success"] >= row["onion_erasure_success"] - 1e-9
     # Higher failure probability lowers success at equal redundancy.
@@ -90,7 +93,7 @@ def test_fig16_slicing_dominates_onion_erasure():
 
 
 def test_fig17_slicing_reaches_high_success_with_little_redundancy():
-    rows = figure17_churn_resilience(scale=0.3)
+    rows = experiment_rows("fig17", scale=0.3)
     by_redundancy = {row["added_redundancy"]: row for row in rows}
     assert by_redundancy[1.5]["information_slicing_success"] > 0.7
     assert (
@@ -102,7 +105,7 @@ def test_fig17_slicing_reaches_high_success_with_little_redundancy():
 
 
 def test_microbenchmark_rows():
-    rows = coding_microbenchmark(scale=0.2)
+    rows = experiment_rows("microbench", scale=0.2)
     assert [row["d"] for row in rows] == [2, 3, 4, 5, 6, 8]
     for row in rows:
         assert row["encode_us_per_packet"] > 0
