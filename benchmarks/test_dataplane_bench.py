@@ -4,8 +4,10 @@ delivering bit-identical plaintexts and relay counters.  Regenerates the
 series through the experiment runner (``run_experiment("dataplane-bench")``).
 """
 
+import statistics
+
 from repro.experiments import format_table
-from repro.experiments.figures import DATAPLANE_TARGET_SPEEDUP
+from repro.experiments.figures import DATAPLANE_SEEDS, DATAPLANE_TARGET_SPEEDUP
 from repro.experiments.runner import experiment_rows
 
 
@@ -22,10 +24,19 @@ def test_dataplane_microbench(benchmark, scale):
     # And beat it by >= 5x at 64 messages.  Locally the margin is ~5-7x;
     # assert the median across seeds so one contended timing sample on a
     # loaded CI runner cannot flake the suite.
-    speedups = sorted(row["speedup"] for row in rows)
-    assert speedups[len(speedups) // 2] >= DATAPLANE_TARGET_SPEEDUP
-    assert all(s > DATAPLANE_TARGET_SPEEDUP / 2 for s in speedups)
-    # The event collapse is structural, not a timing accident.
-    assert all(row["batched_events"] * 5 < row["scalar_events"] for row in rows)
     print()
     print(format_table(rows))
+    speedups = sorted(row["speedup"] for row in rows)
+    assert len(speedups) == len(DATAPLANE_SEEDS)
+    median = statistics.median(speedups)
+    quartiles = statistics.quantiles(speedups, n=4)
+    spread = (
+        f"median {median:.2f}x over {len(speedups)} seeds, "
+        f"IQR {quartiles[0]:.2f}-{quartiles[2]:.2f}x, "
+        f"range {speedups[0]:.2f}-{speedups[-1]:.2f}x"
+    )
+    print(f"batched data-plane speedup: {spread}")
+    assert median >= DATAPLANE_TARGET_SPEEDUP, spread
+    assert all(s > DATAPLANE_TARGET_SPEEDUP / 2 for s in speedups), spread
+    # The event collapse is structural, not a timing accident.
+    assert all(row["batched_events"] * 5 < row["scalar_events"] for row in rows)

@@ -21,14 +21,18 @@ Two compiled providers are known, tried in order:
     C file is compiled once into a shared library cached under
     ``~/.cache/repro-information-slicing/`` (keyed by source hash) and
     loaded through :mod:`ctypes`.  Set ``CC`` to override the compiler.
+    The same build-and-cache step (:func:`compile_shared_library`) also
+    builds the SHA-256 counter-mode keystream kernel of
+    :mod:`repro.crypto.sha256_kernel`.
 
 Both providers work on contiguous ``uint8`` stacks and take the field's
 flattened 256x256 multiplication table (and the 256-entry inverse table)
 as arguments, so non-default polynomials work unchanged.  The environment
 variable ``REPRO_GF_KERNEL_PROVIDER`` forces provider selection:
 ``numba`` / ``cext`` require that provider (error if it cannot load) and
-``none`` disables compiled kernels entirely — the knob the fallback tests
-use to exercise the numpy-only path even on hosts where a provider exists.
+``none`` disables every compiled kernel — GF(2^8) and the keystream alike —
+the knob the fallback tests use to exercise the numpy- and hashlib-only
+paths even on hosts where a compiler exists.
 
 To add a provider: write a loader returning an object with the three
 methods of :class:`KernelProvider`, add it to ``_LOADERS``, and the
@@ -40,8 +44,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import subprocess
-import tempfile
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -180,44 +182,63 @@ void gf_gauss_jordan(uint8_t *aug, uint8_t *singular,
 """
 
 
-#: Flags the C provider is always built with (part of the cache digest).
+#: Flags every compiled kernel is built with (part of the cache digest).
 _CFLAGS = ("-O3", "-fPIC", "-shared")
 
 
-def _compile_shared_library() -> Path:
-    """Compile the C provider into the cache directory, reusing prior builds."""
+def compiled_kernels_disabled() -> bool:
+    """True when ``REPRO_GF_KERNEL_PROVIDER=none`` turns every compiled kernel off."""
+    return os.environ.get(PROVIDER_ENV, "").strip().lower() == "none"
+
+
+def compile_shared_library(name: str, source: str) -> Path:
+    """Compile ``source`` into a cached shared library, reusing prior builds.
+
+    ``name`` prefixes the cached files.  :mod:`subprocess` and
+    :mod:`tempfile` are imported here, so a process that finds its
+    libraries cached (or never needs one) does not import them.
+
+    :raises KernelUnavailableError: no usable compiler, an unwritable cache
+        directory, or the build failed.
+    """
     compiler = os.environ.get("CC", "cc")
     # The digest covers the *whole* build recipe — source, compiler and
     # flags — so any change to it invalidates the cached .so instead of
     # silently reusing a library built under a different recipe.
-    recipe = "\0".join([_C_SOURCE, compiler, *_CFLAGS])
+    recipe = "\0".join([source, compiler, *_CFLAGS])
     digest = hashlib.sha256(recipe.encode("utf-8")).hexdigest()[:16]
-    library = CACHE_DIR / f"gf_kernels_{digest}.so"
-    if library.is_file():
+    library = CACHE_DIR / f"{name}_{digest}.so"
+    if os.path.isfile(library):  # False, not an error, when it cannot be read
         return library
-    CACHE_DIR.mkdir(parents=True, exist_ok=True)
-    source = CACHE_DIR / f"gf_kernels_{digest}.c"
-    source.write_text(_C_SOURCE, encoding="utf-8")
-    with tempfile.NamedTemporaryFile(
-        dir=CACHE_DIR, suffix=".so", delete=False
-    ) as handle:
-        temporary = Path(handle.name)
+    import subprocess
+    import tempfile
+
     try:
-        subprocess.run(
-            [compiler, *_CFLAGS, "-o", str(temporary), str(source)],
-            check=True,
-            capture_output=True,
-            text=True,
-        )
-    except FileNotFoundError as error:
-        temporary.unlink(missing_ok=True)
-        raise KernelUnavailableError(f"C compiler {compiler!r} not found") from error
+        CACHE_DIR.mkdir(parents=True, exist_ok=True)
+        # Every builder compiles its own copy of the source in its own
+        # directory, so concurrent cold-cache builds never read a file
+        # another process is rewriting; the finished library is moved into
+        # place atomically.
+        with tempfile.TemporaryDirectory(dir=CACHE_DIR) as build_dir:
+            source_path = Path(build_dir) / f"{name}.c"
+            source_path.write_text(source, encoding="utf-8")
+            built = Path(build_dir) / f"{name}.so"
+            subprocess.run(
+                [compiler, *_CFLAGS, "-o", str(built), str(source_path)],
+                check=True,
+                capture_output=True,
+                text=True,
+            )
+            os.replace(built, library)
     except subprocess.CalledProcessError as error:
-        temporary.unlink(missing_ok=True)
         raise KernelUnavailableError(
             f"C compilation failed: {error.stderr.strip()}"
         ) from error
-    os.replace(temporary, library)  # atomic: concurrent builders race safely
+    except OSError as error:
+        # No compiler, an unusable one, or an unwritable cache directory.
+        raise KernelUnavailableError(
+            f"cannot build {name} with C compiler {compiler!r}: {error}"
+        ) from error
     return library
 
 
@@ -234,7 +255,7 @@ class _CExtensionProvider:
     name = "cext"
 
     def __init__(self) -> None:
-        self._lib = ctypes.CDLL(str(_compile_shared_library()))
+        self._lib = ctypes.CDLL(str(compile_shared_library("gf_kernels", _C_SOURCE)))
         self._lib.gf_mul_elementwise.restype = None
         self._lib.gf_mul_elementwise.argtypes = [
             _UINT8_P, _UINT8_P, _UINT8_P, ctypes.c_ssize_t, _UINT8_P,
@@ -384,7 +405,7 @@ _PROVIDER_RESOLVED = False
 
 def _select_provider() -> KernelProvider:
     forced = os.environ.get(PROVIDER_ENV, "").strip().lower()
-    if forced == "none":
+    if compiled_kernels_disabled():
         raise KernelUnavailableError(
             f"compiled kernels disabled by {PROVIDER_ENV}=none"
         )

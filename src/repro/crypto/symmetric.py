@@ -8,6 +8,12 @@ and ciphertext is plaintext XOR keystream.  This provides the properties the
 protocol evaluation needs — the ciphertext is unintelligible without the key
 and the operation cost is realistic for a software cipher — without claiming
 to be production cryptography.
+
+The bytes are computed by the compiled kernel of
+:mod:`repro.crypto.sha256_kernel` when it loads (SHA-NI or portable C), and
+otherwise by :mod:`hashlib`, hashing ``key || nonce`` once per call and
+copying that state for each (pre-packed) counter block.  Both give exactly the bytes of
+the definition above.
 """
 
 from __future__ import annotations
@@ -18,9 +24,14 @@ import struct
 import numpy as np
 
 from ..core.errors import ProtocolError
+from .sha256_kernel import load_kernel
 
 _BLOCK_SIZE = 32  # SHA-256 digest size
 NONCE_SIZE = 8
+
+#: Big-endian counter blocks for the first 8 KiB of a keystream, packed once:
+#: packing them per call costs the hashlib path about a fifth of its time.
+_COUNTERS = [struct.pack(">Q", counter) for counter in range(256)]
 
 
 class StreamCipher:
@@ -33,12 +44,21 @@ class StreamCipher:
 
     def keystream(self, nonce: bytes, length: int) -> bytes:
         """Generate ``length`` keystream bytes for the given nonce."""
+        if length <= 0:
+            return b""
+        kernel = load_kernel()
+        if kernel is not None:
+            return kernel.keystream(self._key, bytes(nonce), length)
+        prefix = hashlib.sha256(self._key)
+        prefix.update(nonce)
+        count = (length + _BLOCK_SIZE - 1) // _BLOCK_SIZE
+        counters = _COUNTERS[:count]
+        counters.extend(struct.pack(">Q", counter) for counter in range(len(counters), count))
         blocks = []
-        for counter in range((length + _BLOCK_SIZE - 1) // _BLOCK_SIZE):
-            digest = hashlib.sha256(
-                self._key + nonce + struct.pack(">Q", counter)
-            ).digest()
-            blocks.append(digest)
+        for counter in counters:
+            block = prefix.copy()
+            block.update(counter)
+            blocks.append(block.digest())
         return b"".join(blocks)[:length]
 
     def encrypt(self, plaintext: bytes, nonce: bytes) -> bytes:
@@ -67,12 +87,3 @@ class StreamCipher:
             raise ProtocolError("sealed blob shorter than its nonce")
         return self.decrypt(blob[NONCE_SIZE:], blob[:NONCE_SIZE])
 
-
-def encrypt(key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
-    """Module-level convenience wrapper around :class:`StreamCipher`."""
-    return StreamCipher(key).encrypt(plaintext, nonce)
-
-
-def decrypt(key: bytes, ciphertext: bytes, nonce: bytes) -> bytes:
-    """Module-level convenience wrapper around :class:`StreamCipher`."""
-    return StreamCipher(key).decrypt(ciphertext, nonce)

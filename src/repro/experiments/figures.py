@@ -759,10 +759,14 @@ register(
 DATAPLANE_TARGET_SPEEDUP = 5.0
 
 
+#: Seeds the dataplane-bench compares the planes on; the gate takes the
+#: median speedup over them and prints its spread.
+DATAPLANE_SEEDS = (42, 1042, 2042, 3042, 4042)
+
+
 def _dataplane_trials(scale: float) -> list[dict]:
     reps = max(int(3 * scale), 2)
-    # Three seeds so the benchmark gate's median is a genuine middle value.
-    return [{"seed": seed, "reps": reps} for seed in (42, 1042, 2042)]
+    return [{"seed": seed, "reps": reps} for seed in DATAPLANE_SEEDS]
 
 
 def _dataplane_run(params: dict, rng: np.random.Generator) -> dict:
@@ -997,6 +1001,49 @@ register(
         title="Sphinx microbenchmark: batched cell wrap/strip vs. per-cell StreamCipher loop",
         build_trials=_sphinxbench_trials,
         run_trial=_sphinxbench_run,
+        deterministic=False,  # wall-clock timings; never serve from cache
+        shardable=False,  # single-host comparison; numbers mean nothing sharded
+    )
+)
+
+
+# -- symmetric keystream microbenchmark --------------------------------------------
+
+#: The cryptobench acceptance targets: the shipped keystream must beat the
+#: per-block definition by at least the first factor on every path, and by
+#: the second when it runs on the SHA-NI kernel.
+CRYPTOBENCH_TARGET_SPEEDUP = 1.3
+CRYPTOBENCH_SHA_NI_TARGET_SPEEDUP = 4.0
+
+#: Keystream lengths timed: an MTU-sized cell and a 2 KiB frame.
+CRYPTOBENCH_SIZES = (1500, 2048)
+
+#: Timed repetitions per size, at least; the gate takes their median.
+CRYPTOBENCH_REPETITIONS = 5
+
+
+def _cryptobench_trials(scale: float) -> list[dict]:
+    repetitions = max(int(5 * scale), CRYPTOBENCH_REPETITIONS)
+    return [
+        {"bytes": size, "repetition": repetition}
+        for size in CRYPTOBENCH_SIZES
+        for repetition in range(repetitions)
+    ]
+
+
+def _cryptobench_run(params: dict, rng: np.random.Generator) -> dict:
+    from .cryptobench import compare_keystreams
+
+    row = compare_keystreams(params["bytes"], seed=spawn_seed(rng))
+    return {"repetition": params["repetition"], **row}
+
+
+register(
+    Experiment(
+        name="cryptobench",
+        title="Keystream microbenchmark: shipped StreamCipher.keystream vs. per-block SHA-256 definition",
+        build_trials=_cryptobench_trials,
+        run_trial=_cryptobench_run,
         deterministic=False,  # wall-clock timings; never serve from cache
         shardable=False,  # single-host comparison; numbers mean nothing sharded
     )

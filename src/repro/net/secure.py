@@ -70,6 +70,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..core.errors import FrameAuthenticationError, HandshakeError
+from ..crypto.symmetric import StreamCipher
 from .frames import FRAME_HEADER, check_frame_length
 
 #: Hashed into the initial handshake digest; both sides must agree on it.
@@ -181,23 +182,44 @@ class StaticKeyPair:
 # -- AEAD ---------------------------------------------------------------------------
 
 
+def _keyed_mac(key: bytes) -> hmac.HMAC:
+    return hmac.new(key, digestmod=hashlib.sha256)
+
+
+def _tag(mac: hmac.HMAC, nonce_bytes: bytes, associated_data: bytes, ciphertext: bytes) -> bytes:
+    tag = mac.copy()
+    tag.update(nonce_bytes)
+    tag.update(associated_data)
+    tag.update(ciphertext)
+    return tag.digest()[:TAG_SIZE]
+
+
+def _seal(
+    key: bytes, mac: hmac.HMAC, nonce: int, associated_data: bytes, plaintext: bytes
+) -> bytes:
+    nonce_bytes = _NONCE.pack(nonce)
+    ciphertext = StreamCipher(key).encrypt(plaintext, nonce_bytes) if plaintext else b""
+    return ciphertext + _tag(mac, nonce_bytes, associated_data, ciphertext)
+
+
+def _open(key: bytes, mac: hmac.HMAC, nonce: int, associated_data: bytes, data: bytes) -> bytes:
+    if len(data) < TAG_SIZE:
+        raise FrameAuthenticationError("ciphertext shorter than its tag")
+    ciphertext, tag = data[:-TAG_SIZE], data[-TAG_SIZE:]
+    nonce_bytes = _NONCE.pack(nonce)
+    if not hmac.compare_digest(tag, _tag(mac, nonce_bytes, associated_data, ciphertext)):
+        raise FrameAuthenticationError("frame body failed authentication")
+    return StreamCipher(key).decrypt(ciphertext, nonce_bytes) if ciphertext else b""
+
+
 def aead_encrypt(key: bytes, nonce: int, associated_data: bytes, plaintext: bytes) -> bytes:
     """Encrypt-then-MAC with the repo's keystream cipher: ct || 16-byte tag.
 
     Stands in for ChaCha20-Poly1305: a 64-bit little-endian nonce feeds the
-    counter-mode keystream, and the tag binds key, nonce, associated data
-    and ciphertext.
+    counter-mode keystream, and the tag (HMAC-SHA256 under ``key``) binds
+    nonce, associated data and ciphertext.
     """
-    from ..crypto.symmetric import StreamCipher
-
-    nonce_bytes = _NONCE.pack(nonce)
-    ciphertext = (
-        StreamCipher(key).encrypt(plaintext, nonce_bytes) if plaintext else b""
-    )
-    mac = hmac.new(
-        key, nonce_bytes + associated_data + ciphertext, hashlib.sha256
-    ).digest()
-    return ciphertext + mac[:TAG_SIZE]
+    return _seal(key, _keyed_mac(key), nonce, associated_data, plaintext)
 
 
 def aead_decrypt(key: bytes, nonce: int, associated_data: bytes, data: bytes) -> bytes:
@@ -205,18 +227,7 @@ def aead_decrypt(key: bytes, nonce: int, associated_data: bytes, data: bytes) ->
 
     :raises FrameAuthenticationError: truncated input or failed tag check.
     """
-    from ..crypto.symmetric import StreamCipher
-
-    if len(data) < TAG_SIZE:
-        raise FrameAuthenticationError("ciphertext shorter than its tag")
-    ciphertext, tag = data[:-TAG_SIZE], data[-TAG_SIZE:]
-    nonce_bytes = _NONCE.pack(nonce)
-    expected = hmac.new(
-        key, nonce_bytes + associated_data + ciphertext, hashlib.sha256
-    ).digest()[:TAG_SIZE]
-    if not hmac.compare_digest(tag, expected):
-        raise FrameAuthenticationError("frame body failed authentication")
-    return StreamCipher(key).decrypt(ciphertext, nonce_bytes) if ciphertext else b""
+    return _open(key, _keyed_mac(key), nonce, associated_data, data)
 
 
 # -- cipher state -------------------------------------------------------------------
@@ -229,7 +240,8 @@ class CipherState:
     The nonce increases by one per message and never repeats under a key;
     after :data:`REKEY_INTERVAL` messages the key ratchets forward through
     the chaining key (and the old key is unrecoverable — forward secrecy
-    within the session).
+    within the session).  The HMAC is keyed once per key, not once per
+    frame; each frame's tag starts from a copy of it.
 
     >>> state = CipherState(key=b"k" * 32, chaining_key=b"c" * 32)
     >>> peer = CipherState(key=b"k" * 32, chaining_key=b"c" * 32)
@@ -243,14 +255,26 @@ class CipherState:
     chaining_key: bytes
     nonce: int = 0
     messages_protected: int = field(default=0, repr=False)
+    _mac: hmac.HMAC = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._mac = _keyed_mac(self.key)
+
+    def __getstate__(self) -> dict:
+        # Keyed HMACs neither copy nor pickle; copies rebuild them from ``key``.
+        return {name: value for name, value in vars(self).items() if name != "_mac"}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self.__post_init__()
 
     def encrypt(self, associated_data: bytes, plaintext: bytes) -> bytes:
-        data = aead_encrypt(self.key, self.nonce, associated_data, plaintext)
+        data = _seal(self.key, self._mac, self.nonce, associated_data, plaintext)
         self._advance()
         return data
 
     def decrypt(self, associated_data: bytes, data: bytes) -> bytes:
-        plaintext = aead_decrypt(self.key, self.nonce, associated_data, data)
+        plaintext = _open(self.key, self._mac, self.nonce, associated_data, data)
         self._advance()
         return plaintext
 
@@ -263,6 +287,7 @@ class CipherState:
     def rotate(self) -> None:
         """Ratchet to a fresh key through the chaining key; reset the nonce."""
         self.chaining_key, self.key = _hkdf2(self.chaining_key, self.key)
+        self._mac = _keyed_mac(self.key)
         self.nonce = 0
 
 

@@ -21,6 +21,7 @@ def test_registry_contains_every_figure():
         "microbench",
         "anonbench",
         "chaumbench",
+        "cryptobench",
         "dataplane-bench",
         "gfbench",
         "sphinxbench",
